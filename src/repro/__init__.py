@@ -30,7 +30,6 @@ from .core import (
     MutableDesksIndex,
     PruningMode,
     QueryResult,
-    QueryTrace,
     ResultEntry,
     brute_force_search,
     load_index,
@@ -70,7 +69,6 @@ __all__ = [
     "PruningMode",
     "QueryEngine",
     "QueryResult",
-    "QueryTrace",
     "ResultCache",
     "ResultEntry",
     "ServiceResponse",

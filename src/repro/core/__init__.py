@@ -32,7 +32,6 @@ from .mindist import (
 from .query import DirectionalQuery, MatchMode, QueryResult, ResultEntry
 from .regions import AnchorRegions, Band, Subregion
 from .search import DesksSearcher, PruningMode, SupportsExpired
-from .trace import BandTrace, QueryTrace, SubqueryTrace
 from .stores import (
     CompressedDiskKeywordStore,
     DiskKeywordStore,
@@ -60,10 +59,7 @@ __all__ = [
     "PersistenceError",
     "PruningMode",
     "SavedScrubReport",
-    "BandTrace",
     "QueryResult",
-    "QueryTrace",
-    "SubqueryTrace",
     "ResultEntry",
     "Subregion",
     "SupportsExpired",

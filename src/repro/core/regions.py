@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -72,9 +73,13 @@ class Band:
     def first_gid(self) -> int:
         return self.subregions[0].gid
 
-    @property
+    @cached_property
     def theta_breaks(self) -> List[float]:
-        """Sub-region lower directions, for binary searching."""
+        """Sub-region lower directions, for binary searching.
+
+        Built on first use — by a search, after the band is complete —
+        instead of once per band scan.
+        """
         return [s.theta_lo for s in self.subregions]
 
 

@@ -7,6 +7,18 @@ into per-quadrant basic sub-queries, and a single priority queue of
 best-first scan sharing one top-k collector, exactly as Algorithm 2's
 region queue ``Q_R`` does.
 
+:class:`DesksSearcher` is the only implementation of that driver.  The
+columnar kernel (:class:`repro.kernel.ColumnarSearcher`) subclasses it and
+overrides just two hooks — ``_prepare_subqueries`` (the keyword plan) and
+``_scan_subregion`` (FINDCANDPOIS over one wedge) — so both searchers make
+the same pruning decisions and report the same counters by construction.
+
+When a :class:`repro.trace.Tracer` is active the driver opens its spans as
+it runs (``desks.search`` > ``desks.prepare`` / ``desks.subquery`` >
+``desks.band`` > ``desks.wedge``); their POI and page counters are
+:class:`~repro.storage.SearchStats` / :class:`~repro.storage.IOStats`
+deltas across each span.
+
 The three pruning configurations evaluated in the paper's Section VI-B map
 onto two switches:
 
@@ -33,7 +45,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from ..storage import SearchStats
 from ..text import intersect_sorted, union_sorted
 from ..trace.spans import Span, Tracer, current_tracer
-from .index import AnchorIndex, DesksIndex
+from .index import DesksIndex
 from .mindist import (
     BasicQueryGeometry,
     band_mindist,
@@ -41,8 +53,7 @@ from .mindist import (
     subregion_mindist,
 )
 from .query import DirectionalQuery, MatchMode, QueryResult, ResultEntry
-from .trace import BandTrace, QueryTrace, WedgeTrace
-from .regions import Band
+from .regions import AnchorRegions, Band
 
 INF = math.inf
 
@@ -117,12 +128,15 @@ class _Subquery:
     """Per-anchor state of one basic sub-query."""
 
     quadrant: int
-    anchor: AnchorIndex
+    regions: AnchorRegions
     geometry: BasicQueryGeometry
-    #: Sub-region gids containing *all* query keywords (sorted).
+    #: Sub-region gids containing the query keywords (sorted) — ``L^R_K``.
     candidate_gids: List[int]
-    #: Per-keyword postings views for this anchor.
-    postings: List[object]
+    #: What ``_scan_subregion`` reads: per-keyword postings views here, a
+    #: columnar term plan in :class:`repro.kernel.ColumnarSearcher`.
+    source: object
+    #: The ``desks.subquery`` span, when the search is traced.
+    span: Optional[Span] = None
     #: Direction bounds per band are cached (Eqs. 5-6 are pure in the band).
     _bounds_cache: Dict[int, Tuple[float, float]] = field(
         default_factory=dict)
@@ -148,14 +162,12 @@ class DesksSearcher:
                mode: PruningMode = PruningMode.RD,
                stats: Optional[SearchStats] = None,
                seed_entries: Optional[Iterable[ResultEntry]] = None,
-               trace: Optional[QueryTrace] = None,
                deadline: Optional["SupportsExpired"] = None) -> QueryResult:
         """The k nearest POIs satisfying keyword and direction constraints.
 
         ``seed_entries`` pre-populates the top-k collector — the incremental
         algorithms of Section V pass cached answers here so ``d_k`` starts
-        tight.  ``trace`` (a :class:`~repro.core.trace.QueryTrace`) records
-        the search's decisions for inspection.
+        tight.
 
         ``deadline`` is any object with an ``expired() -> bool`` method
         (e.g. :class:`repro.service.Deadline`).  The best-first scan checks
@@ -165,51 +177,18 @@ class DesksSearcher:
         serving layer.  Every returned entry is still a verified answer.
 
         When a :class:`repro.trace.Tracer` is active in the calling context
-        the search additionally emits a ``desks.search`` span tree
-        (prepare / sub-query / band / wedge stages with page-read and
-        pruning attribution); with no active tracer the only cost is one
-        ``ContextVar`` lookup.
+        the search emits a ``desks.search`` span tree (prepare / sub-query /
+        band / wedge stages with page-read and pruning attribution); with no
+        active tracer the only cost is one ``ContextVar`` lookup.
         """
-        tracer = current_tracer()
-        if tracer is None:
-            return self._search_impl(query, mode, stats, seed_entries,
-                                     trace, deadline)
-        qtrace = trace if trace is not None else QueryTrace()
-        with tracer.span("desks.search", mode=mode.name, k=query.k) as span:
-            result = self._search_impl(query, mode, stats, seed_entries,
-                                       qtrace, deadline)
-            _emit_query_spans(tracer, span, qtrace, result)
-        return result
-
-    def _search_impl(self, query: DirectionalQuery,
-                     mode: PruningMode,
-                     stats: Optional[SearchStats],
-                     seed_entries: Optional[Iterable[ResultEntry]],
-                     trace: Optional[QueryTrace],
-                     deadline: Optional["SupportsExpired"]) -> QueryResult:
-        """The untraced search body (``search`` wraps it in a span)."""
         collector = _TopK(query.k, seed=seed_entries)
-        conjunctive = query.match_mode is MatchMode.ALL
-        term_ids = self._collection.query_term_ids(
-            query.keywords, require_all=conjunctive)
-        if term_ids is None:
-            if trace is not None:
-                trace.num_results = len(collector.entries())
-            return QueryResult(collector.entries())
-        if trace is not None:
-            io = self.index.io_stats
-            pages_before = io.logical_reads
-            tick = time.perf_counter()
-        subqueries = self._prepare_subqueries(query, term_ids)
-        if trace is not None:
-            trace.prepare_seconds = time.perf_counter() - tick
-            trace.prepare_pages = io.logical_reads - pages_before
-        completed = self._run(query, subqueries, collector, mode, stats,
-                              trace, deadline)
-        result = QueryResult(collector.entries(), partial=not completed)
-        if trace is not None:
-            trace.num_results = len(result)
-        return result
+        tracer = current_tracer()
+        if tracer is not None:
+            return self._traced_search(tracer, query, collector, mode, stats,
+                                       deadline)
+        completed = self._run(query, self._prepare_subqueries(query),
+                              collector, mode, stats, deadline)
+        return QueryResult(collector.entries(), partial=not completed)
 
     def search_basic(self, query: DirectionalQuery,
                      mode: PruningMode = PruningMode.RD,
@@ -224,9 +203,13 @@ class DesksSearcher:
 
     # -- Algorithm 2 ------------------------------------------------------------
 
-    def _prepare_subqueries(self, query: DirectionalQuery,
-                            term_ids: Iterable[int]) -> List[_Subquery]:
+    def _prepare_subqueries(self, query: DirectionalQuery) -> List[_Subquery]:
+        """One sub-query per quadrant piece holding keyword sub-regions."""
         conjunctive = query.match_mode is MatchMode.ALL
+        term_ids = self._collection.query_term_ids(
+            query.keywords, require_all=conjunctive)
+        if term_ids is None:
+            return []
         subqueries: List[_Subquery] = []
         for quadrant, piece in query.basic_subqueries():
             anchor = self.index.anchor_index(quadrant)
@@ -251,22 +234,22 @@ class DesksSearcher:
             geometry = basic_geometry(
                 anchor.frame, query.location,
                 anchor.frame.basic_interval(piece))
-            subqueries.append(_Subquery(quadrant, anchor, geometry,
-                                         gids, postings))
+            subqueries.append(_Subquery(quadrant, anchor.regions, geometry,
+                                        gids, postings))
         return subqueries
 
     def _run(self, query: DirectionalQuery, subqueries: List[_Subquery],
              collector: _TopK, mode: PruningMode,
              stats: Optional[SearchStats],
-             trace: Optional[QueryTrace] = None,
-             deadline: Optional["SupportsExpired"] = None) -> bool:
+             deadline: Optional["SupportsExpired"],
+             tracer: Optional[Tracer] = None) -> bool:
         """Drive the band queue to exhaustion; False when a deadline cut in."""
         heap: List[Tuple[float, int, int, _Subquery]] = []
         seq = 0
 
         def push_band(sub: _Subquery, band_idx: int) -> None:
             nonlocal seq
-            bands = sub.anchor.regions.bands
+            bands = sub.regions.bands
             if band_idx >= len(bands):
                 return
             heapq.heappush(
@@ -277,10 +260,12 @@ class DesksSearcher:
 
         for sub in subqueries:
             start = self._initial_band(sub, mode)
-            if trace is not None:
-                trace.record_subquery(
-                    sub.quadrant, sub.geometry.alpha, sub.geometry.beta,
-                    start, len(sub.candidate_gids))
+            if tracer is not None:
+                sub.span = tracer.record(
+                    "desks.subquery", quadrant=sub.quadrant,
+                    interval_lower=sub.geometry.alpha,
+                    interval_upper=sub.geometry.beta, start_band=start,
+                    candidate_subregions=len(sub.candidate_gids))
             push_band(sub, start)
 
         while heap:
@@ -292,25 +277,23 @@ class DesksSearcher:
             if mode.region and priority >= collector.kth_distance:
                 # Lemma 1 / Eq. 4 termination: every remaining band is at
                 # least this far; no answer can improve the top-k.
-                if trace is not None:
-                    trace.record_termination(sub.quadrant, band_idx,
-                                             priority)
+                if tracer is not None:
+                    sub.span.ended = tracer.record(
+                        "desks.band", parent=sub.span, quadrant=sub.quadrant,
+                        band_index=band_idx, priority=priority,
+                        action="terminated").ended
                 break
             if stats is not None:
                 stats.regions_examined += 1
-            band = sub.anchor.regions.bands[band_idx]
-            band_trace = (trace.begin_band(sub.quadrant, band_idx, priority)
-                          if trace is not None else None)
-            if band_trace is not None:
-                io = self.index.io_stats
-                pages_before = io.logical_reads
-                tick = time.perf_counter()
-            completed = self._scan_band(query, sub, band, collector, mode,
-                                        stats, band_trace, deadline)
-            if band_trace is not None:
-                band_trace.seconds = time.perf_counter() - tick
-                band_trace.pages_read = io.logical_reads - pages_before
-            if not completed:
+            band = sub.regions.bands[band_idx]
+            if tracer is None:
+                abandoned = self._scan_band(query, sub, band, collector, mode,
+                                            stats, deadline)
+            else:
+                abandoned = self._traced_band(tracer, query, sub, band,
+                                              priority, collector, mode,
+                                              stats, deadline)
+            if abandoned:
                 return False
             push_band(sub, band_idx + 1)
         return True
@@ -318,7 +301,7 @@ class DesksSearcher:
     def _initial_band(self, sub: _Subquery, mode: PruningMode) -> int:
         """Lemma 1: bands strictly inside the query's radius are skipped."""
         if mode.region and sub.geometry.inside_rect:
-            return sub.anchor.regions.band_of_distance(sub.geometry.qd)
+            return sub.regions.band_of_distance(sub.geometry.qd)
         return 0
 
     def _band_priority(self, sub: _Subquery, band: Band,
@@ -339,72 +322,48 @@ class DesksSearcher:
     def _scan_band(self, query: DirectionalQuery, sub: _Subquery, band: Band,
                    collector: _TopK, mode: PruningMode,
                    stats: Optional[SearchStats],
-                   band_trace: Optional[BandTrace] = None,
-                   deadline: Optional["SupportsExpired"] = None) -> bool:
-        """Scan one band's sub-regions; False when the deadline cut in."""
+                   deadline: Optional["SupportsExpired"],
+                   tracer: Optional[Tracer] = None) -> int:
+        """Scan one band's sub-regions.
+
+        Returns how many candidate sub-regions a deadline left unscanned
+        (0: the band completed).
+        """
         candidates = self._candidate_subregions(sub, band, collector, mode,
-                                                stats, band_trace)
-        scanned = 0
-        completed = True
+                                                stats)
         for position, (mindist, subregion_gid) in enumerate(candidates):
             if mode.direction and mindist >= collector.kth_distance:
                 # Candidates are MINDIST-sorted (Alg. 1 line 9): the whole
                 # tail is cut by the tightened d_k bound, i.e. MINDIST-pruned.
-                if band_trace is not None:
-                    band_trace.subregions_mindist_pruned += \
-                        len(candidates) - position
                 break
             if deadline is not None and deadline.expired():
-                completed = False
-                break
-            scanned += 1
-            if band_trace is not None:
-                io = self.index.io_stats
-                fetched = band_trace.pois_fetched
-                verified = band_trace.pois_verified
-                pages = io.logical_reads
-                tick = time.perf_counter()
-            self._scan_subregion(query, sub, subregion_gid, collector,
-                                 stats, band_trace)
-            if band_trace is not None:
-                band_trace.wedges.append(WedgeTrace(
-                    subregion_gid, mindist,
-                    time.perf_counter() - tick,
-                    band_trace.pois_fetched - fetched,
-                    band_trace.pois_verified - verified,
-                    io.logical_reads - pages))
-        if band_trace is not None:
-            band_trace.subregions_kept = scanned
-        return completed
+                return len(candidates) - position
+            if tracer is None:
+                self._scan_subregion(query, sub, band, subregion_gid,
+                                     collector, stats)
+            else:
+                self._traced_subregion(tracer, query, sub, band,
+                                       subregion_gid, mindist, collector,
+                                       stats)
+        return 0
 
     def _candidate_subregions(self, sub: _Subquery, band: Band,
                               collector: _TopK, mode: PruningMode,
                               stats: Optional[SearchStats],
-                              band_trace: Optional[BandTrace] = None,
                               ) -> List[Tuple[float, int]]:
         """FINDCANDREGIONS: keyword-bearing sub-regions surviving pruning."""
-        regions = sub.anchor.regions
+        regions = sub.regions
         geo = sub.geometry
         first_gid = band.first_gid
-        end_gid = first_gid + len(band.subregions)
         if mode.direction:
             tau_lo, tau_hi = sub.band_bounds(band)
             lo_idx, hi_idx = regions.candidate_wedge_range(band, tau_lo,
                                                            tau_hi)
             gid_lo, gid_hi = first_gid + lo_idx, first_gid + hi_idx
-            if band_trace is not None:
-                band_trace.tau_bounds = (tau_lo, tau_hi)
-                band_trace.wedge_window = (lo_idx, hi_idx)
         else:
-            gid_lo, gid_hi = first_gid, end_gid
+            gid_lo, gid_hi = first_gid, first_gid + len(band.subregions)
         selected = _slice_sorted(sub.candidate_gids, gid_lo, gid_hi)
-        if band_trace is not None and mode.direction:
-            in_band = len(_slice_sorted(sub.candidate_gids, first_gid,
-                                        end_gid))
-            band_trace.subregions_window_pruned = in_band - len(selected)
-            band_trace.mindist_evaluations = len(selected)
         out: List[Tuple[float, int]] = []
-        pruned = 0
         for gid in selected:
             if stats is not None:
                 stats.subregions_examined += 1
@@ -414,22 +373,18 @@ class DesksSearcher:
                     geo, band.inner_radius, band.outer_radius,
                     wedge.theta_lo, wedge.theta_hi)
                 if mindist >= collector.kth_distance:
-                    pruned += 1
                     continue
             else:
                 mindist = 0.0  # +R treats the band as one opaque region
             out.append((mindist, gid))
-        if band_trace is not None:
-            band_trace.subregions_mindist_pruned = pruned
         out.sort()
         return out
 
     def _scan_subregion(self, query: DirectionalQuery, sub: _Subquery,
-                        gid: int, collector: _TopK,
-                        stats: Optional[SearchStats],
-                        band_trace: Optional[BandTrace] = None) -> None:
+                        band: Band, gid: int, collector: _TopK,
+                        stats: Optional[SearchStats]) -> None:
         """FINDCANDPOIS: combine POI lists, verify direction + distance."""
-        lists = [view.pois_in(gid) for view in sub.postings]
+        lists = [view.pois_in(gid) for view in sub.source]
         if query.match_mode is MatchMode.ALL:
             lists.sort(key=len)
             if not lists or not lists[0]:
@@ -446,8 +401,6 @@ class DesksSearcher:
             if not survivors:
                 return
         location = query.location
-        if band_trace is not None:
-            band_trace.pois_fetched += len(survivors)
         for poi_id in survivors:
             if stats is not None:
                 stats.pois_examined += 1
@@ -459,11 +412,118 @@ class DesksSearcher:
                     continue
             if stats is not None:
                 stats.candidates_verified += 1
-            if band_trace is not None:
-                band_trace.pois_verified += 1
             distance = location.distance_to(poi_location)
             if distance < collector.kth_distance:
                 collector.add(poi_id, distance)
+
+    # -- tracing ----------------------------------------------------------------
+
+    def _traced_search(self, tracer: Tracer, query: DirectionalQuery,
+                       collector: _TopK, mode: PruningMode,
+                       stats: Optional[SearchStats],
+                       deadline: Optional["SupportsExpired"]) -> QueryResult:
+        """``search`` under a ``desks.search`` span whose totals reconcile.
+
+        The root's totals are sums over the band spans, so
+        :func:`repro.trace.explain` checking them against the search's
+        own counters proves every counted POI and page lies in a band.
+        """
+        if stats is None:
+            stats = SearchStats()  # the span counters are its deltas
+        io = self.index.io_stats
+        with tracer.span("desks.search", mode=mode.name, k=query.k) as root:
+            pages = io.logical_reads
+            with tracer.span("desks.prepare") as prepare:
+                subqueries = self._prepare_subqueries(query)
+            prepare.annotate(pages_read=io.logical_reads - pages,
+                             subqueries=len(subqueries))
+            completed = self._run(query, subqueries, collector, mode, stats,
+                                  deadline, tracer)
+            result = QueryResult(collector.entries(), partial=not completed)
+            bands = [band for sub in subqueries for band in sub.span.children]
+
+            def total(key: str) -> int:
+                return sum(band.attrs.get(key, 0) for band in bands)
+
+            root.annotate(
+                results=len(result),
+                partial=result.partial,
+                terminated_early=any(band.attrs["action"] == "terminated"
+                                     for band in bands),
+                bands_scanned=sum(band.attrs["action"] == "scanned"
+                                  for band in bands),
+                bands_skipped_lemma1=sum(sub.span.attrs["start_band"]
+                                         for sub in subqueries),
+                pages_read=prepare.attrs["pages_read"] + total("pages_read"),
+                pois_fetched=total("pois_fetched"),
+                pois_verified=total("pois_verified"),
+                subregions_examined=total("subregions_examined"),
+                subregions_pruned=(total("subregions_window_pruned")
+                                   + total("subregions_mindist_pruned")),
+                mindist_evaluations=total("mindist_evaluations"),
+            )
+        return result
+
+    def _traced_band(self, tracer: Tracer, query: DirectionalQuery,
+                     sub: _Subquery, band: Band, priority: float,
+                     collector: _TopK, mode: PruningMode, stats: SearchStats,
+                     deadline: Optional["SupportsExpired"]) -> int:
+        """``_scan_band`` inside a ``desks.band`` span with its pruning split.
+
+        Of the keyword sub-regions in the band, the Lemma 3 wedge window
+        (tau bounds, Lemmas 2/4) drops some before any MINDIST work; the
+        rest are examined, and each examined one is scanned (kept), cut
+        by its Table I MINDIST against ``d_k``, or left by a deadline.
+        """
+        io = self.index.io_stats
+        examined = stats.subregions_examined
+        fetched = stats.pois_examined
+        verified = stats.candidates_verified
+        pages = io.logical_reads
+        with tracer.span("desks.band", parent=sub.span, quadrant=sub.quadrant,
+                         band_index=band.index, priority=priority,
+                         action="scanned") as span:
+            abandoned = self._scan_band(query, sub, band, collector, mode,
+                                        stats, deadline, tracer)
+        examined = stats.subregions_examined - examined
+        kept = len(span.children)
+        span.annotate(pois_fetched=stats.pois_examined - fetched,
+                      pois_verified=stats.candidates_verified - verified,
+                      pages_read=io.logical_reads - pages,
+                      subregions_kept=kept,
+                      subregions_window_pruned=0,
+                      subregions_mindist_pruned=examined - kept - abandoned,
+                      subregions_examined=examined,
+                      mindist_evaluations=0)
+        if mode.direction:
+            tau_lo, tau_hi = sub.band_bounds(band)
+            in_band = _slice_sorted(sub.candidate_gids, band.first_gid,
+                                    band.first_gid + len(band.subregions))
+            span.annotate(
+                subregions_window_pruned=len(in_band) - examined,
+                mindist_evaluations=examined,
+                tau_lower=tau_lo, tau_upper=tau_hi,
+                wedge_window=list(sub.regions.candidate_wedge_range(
+                    band, tau_lo, tau_hi)))
+        sub.span.ended = span.ended
+        return abandoned
+
+    def _traced_subregion(self, tracer: Tracer, query: DirectionalQuery,
+                          sub: _Subquery, band: Band, gid: int,
+                          mindist: float, collector: _TopK,
+                          stats: SearchStats) -> None:
+        """``_scan_subregion``, recorded as a ``desks.wedge`` span."""
+        io = self.index.io_stats
+        fetched = stats.pois_examined
+        verified = stats.candidates_verified
+        pages = io.logical_reads
+        tick = time.perf_counter()
+        self._scan_subregion(query, sub, band, gid, collector, stats)
+        tracer.record("desks.wedge", seconds=time.perf_counter() - tick,
+                      gid=gid, mindist=mindist,
+                      pois_fetched=stats.pois_examined - fetched,
+                      pois_verified=stats.candidates_verified - verified,
+                      pages_read=io.logical_reads - pages)
 
 
 def _slice_sorted(values: Sequence[int], lo: int, hi: int) -> Sequence[int]:
@@ -471,81 +531,3 @@ def _slice_sorted(values: Sequence[int], lo: int, hi: int) -> Sequence[int]:
     start = bisect_left(values, lo)
     end = bisect_left(values, hi, start)
     return values[start:end]
-
-
-def _emit_query_spans(tracer: Tracer, parent: Span, qtrace: QueryTrace,
-                      result: QueryResult) -> None:
-    """Convert a filled :class:`QueryTrace` into spans under ``parent``.
-
-    The searcher measures its stages through the (cheap, allocation-light)
-    ``QueryTrace`` hooks while running, then converts the measurements into
-    a span tree here — one ``desks.prepare`` span, one ``desks.subquery``
-    per basic sub-query, one ``desks.band`` per band popped from the
-    region queue, one ``desks.wedge`` per sub-region scanned.  Root attrs
-    carry the totals that reconcile with
-    :class:`~repro.storage.SearchStats` / :class:`~repro.storage.IOStats`.
-    """
-    parent.annotate(
-        results=len(result),
-        partial=result.partial,
-        terminated_early=qtrace.terminated_early,
-        bands_scanned=qtrace.bands_scanned,
-        bands_skipped_lemma1=qtrace.bands_skipped_lemma1,
-        pages_read=qtrace.total_pages_read,
-        pois_fetched=qtrace.total_pois_fetched,
-        pois_verified=qtrace.total_pois_verified,
-        subregions_examined=qtrace.total_subregions_examined,
-        subregions_pruned=(qtrace.total_subregions_window_pruned
-                           + qtrace.total_subregions_mindist_pruned),
-        mindist_evaluations=qtrace.total_mindist_evaluations,
-    )
-    tracer.record(
-        "desks.prepare", seconds=qtrace.prepare_seconds, parent=parent,
-        pages_read=qtrace.prepare_pages, subqueries=len(qtrace.subqueries))
-    by_quadrant: Dict[int, Span] = {}
-    for sub in qtrace.subqueries:
-        quadrant_bands = [b for b in qtrace.bands
-                          if b.quadrant == sub.quadrant]
-        span = tracer.record(
-            "desks.subquery",
-            seconds=sum(b.seconds for b in quadrant_bands),
-            parent=parent,
-            quadrant=sub.quadrant,
-            interval_lower=sub.interval_lower,
-            interval_upper=sub.interval_upper,
-            start_band=sub.start_band,
-            candidate_subregions=sub.candidate_subregions,
-        )
-        by_quadrant[sub.quadrant] = span
-    for band in qtrace.bands:
-        attrs: Dict[str, object] = {
-            "quadrant": band.quadrant,
-            "band_index": band.band_index,
-            "priority": band.priority,
-            "action": band.action,
-        }
-        if band.action == "scanned":
-            attrs.update(
-                subregions_kept=band.subregions_kept,
-                subregions_window_pruned=band.subregions_window_pruned,
-                subregions_mindist_pruned=band.subregions_mindist_pruned,
-                subregions_examined=band.subregions_examined,
-                mindist_evaluations=band.mindist_evaluations,
-                pois_fetched=band.pois_fetched,
-                pois_verified=band.pois_verified,
-                pages_read=band.pages_read,
-            )
-            if band.tau_bounds is not None:
-                attrs["tau_lower"], attrs["tau_upper"] = band.tau_bounds
-            if band.wedge_window is not None:
-                attrs["wedge_window"] = list(band.wedge_window)
-        band_span = tracer.record(
-            "desks.band", seconds=band.seconds,
-            parent=by_quadrant.get(band.quadrant, parent), **attrs)
-        for wedge in band.wedges:
-            tracer.record(
-                "desks.wedge", seconds=wedge.seconds, parent=band_span,
-                gid=wedge.gid, mindist=wedge.mindist,
-                pois_fetched=wedge.pois_fetched,
-                pois_verified=wedge.pois_verified,
-                pages_read=wedge.pages_read)

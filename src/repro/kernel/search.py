@@ -1,14 +1,16 @@
-"""Vectorised band/wedge scan over the columnar snapshot.
+"""Vectorised wedge scan over the columnar snapshot.
 
 ``ColumnarSearcher`` is a drop-in replacement for
 :class:`~repro.core.search.DesksSearcher`: same ``search`` signature,
-same spans, same ``SearchStats`` counters, bit-identical answers.  The
-*decisions* — band order (Eq. 4), Lemma 1 skips and termination, the
-Lemma 2-4 wedge window, and every per-wedge ``MINDIST`` (Table I) —
-reuse the scalar implementations verbatim, so pruning counts cannot
-drift.  What is vectorised is the per-POI verification inside each
-wedge: keyword-run intersection, direction membership, and the distance
-prefilter run as whole-array operations.
+same spans, same ``SearchStats`` counters, bit-identical answers.  It
+*is* a ``DesksSearcher`` — the Algorithm 2 driver (band order by Eq. 4,
+Lemma 1 skips and termination, the Lemma 2-4 wedge window, every
+per-wedge ``MINDIST`` of Table I) is inherited, so pruning counts cannot
+drift.  It overrides two hooks: ``_prepare_subqueries`` builds the
+keyword plan from the snapshot's arrays (cached per keyword set), and
+``_scan_subregion`` verifies one wedge's POIs as whole-array operations
+— keyword-run intersection, direction membership, and the distance
+prefilter.
 
 Bit-exactness is kept by a prefilter-then-confirm discipline, because
 ``np.arctan2`` / ``np.hypot`` are *not* guaranteed bit-identical to
@@ -33,33 +35,23 @@ sets (every serving workload) skip straight to the array scans.
 
 from __future__ import annotations
 
-import heapq
 import math
-import time
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.mindist import (
-    BasicQueryGeometry,
-    band_mindist,
-    basic_geometry,
-    subregion_mindist,
-)
-from ..core.query import DirectionalQuery, MatchMode, QueryResult, ResultEntry
+from ..core.mindist import basic_geometry
+from ..core.query import DirectionalQuery, MatchMode, QueryResult
 from ..core.regions import Band
 from ..core.search import (
-    INF,
+    DesksSearcher,
     PruningMode,
     SupportsExpired,
-    _emit_query_spans,
+    _Subquery,
     _TopK,
 )
-from ..core.trace import BandTrace, QueryTrace, WedgeTrace
 from ..geometry import ANGLE_EPS, TWO_PI, angle_of, arc_contains_vectors
 from ..storage import SearchStats
-from ..trace.spans import current_tracer
 from .snapshot import AnchorColumns, ColumnarSnapshot
 
 #: Angular distance (radians) from a containment boundary under which a
@@ -84,19 +76,19 @@ class _TermPlan:
     repeated query's scan.
     """
 
-    __slots__ = ("candidate_gids", "term_positions", "conjunctive",
-                 "_band_cache")
+    __slots__ = ("columns", "candidate_gids", "term_positions",
+                 "conjunctive", "_band_cache")
 
-    def __init__(self, candidate_gids: "np.ndarray",
+    def __init__(self, columns: AnchorColumns, candidate_gids: List[int],
                  term_positions: List["np.ndarray"],
                  conjunctive: bool) -> None:
+        self.columns = columns
         self.candidate_gids = candidate_gids
         self.term_positions = term_positions
         self.conjunctive = conjunctive
-        self._band_cache: Dict[int, "np.ndarray"] = {}
+        self._band_cache: Dict[int, Tuple["np.ndarray", "np.ndarray"]] = {}
 
-    def band_positions(self, band: Band, sub_starts: "np.ndarray",
-                       ) -> Tuple["np.ndarray", "np.ndarray"]:
+    def band_positions(self, band: Band) -> Tuple["np.ndarray", "np.ndarray"]:
         """Positions in ``band`` matching the keyword predicate (sorted).
 
         ALL-mode intersects the keywords' band runs (smallest first,
@@ -110,8 +102,8 @@ class _TermPlan:
         cached = self._band_cache.get(band.index)
         if cached is None:
             first_gid = band.first_gid
-            wedge_bounds = sub_starts[first_gid:
-                                      first_gid + len(band.subregions) + 1]
+            wedge_bounds = self.columns.sub_starts[
+                first_gid:first_gid + len(band.subregions) + 1]
             start = int(wedge_bounds[0])
             end = int(wedge_bounds[-1])
             runs = []
@@ -136,26 +128,7 @@ class _TermPlan:
         return cached
 
 
-@dataclass
-class _KernelSubquery:
-    """Per-anchor state of one basic sub-query (columnar flavour)."""
-
-    quadrant: int
-    columns: AnchorColumns
-    geometry: BasicQueryGeometry
-    plan: _TermPlan
-    _bounds_cache: Dict[int, Tuple[float, float]] = field(
-        default_factory=dict)
-
-    def band_bounds(self, band: Band) -> Tuple[float, float]:
-        cached = self._bounds_cache.get(band.index)
-        if cached is None:
-            cached = self.geometry.band_direction_bounds(band.outer_radius)
-            self._bounds_cache[band.index] = cached
-        return cached
-
-
-class ColumnarSearcher:
+class ColumnarSearcher(DesksSearcher):
     """Answers DESKS queries over a :class:`ColumnarSnapshot`.
 
     Accepts either a frozen :class:`~repro.core.index.DesksIndex` (a
@@ -170,38 +143,12 @@ class ColumnarSearcher:
             snapshot = source
         else:
             snapshot = ColumnarSnapshot(source)
+        super().__init__(snapshot.index)
         self.snapshot = snapshot
-        self.index = snapshot.index
-        self._collection = snapshot.collection
         self._term_cache: Dict[Tuple[FrozenSet[str], bool],
                                Optional[FrozenSet[int]]] = {}
         self._plan_cache: Dict[Tuple[int, Tuple[int, ...], bool],
                                Optional[_TermPlan]] = {}
-
-    @property
-    def io_stats(self):
-        """The source index's I/O counters (the snapshot reads no pages)."""
-        return self.index.io_stats
-
-    # -- public API -----------------------------------------------------------
-
-    def search(self, query: DirectionalQuery,
-               mode: PruningMode = PruningMode.RD,
-               stats: Optional[SearchStats] = None,
-               seed_entries: Optional[Iterable[ResultEntry]] = None,
-               trace: Optional[QueryTrace] = None,
-               deadline: Optional["SupportsExpired"] = None) -> QueryResult:
-        """Same contract as :meth:`DesksSearcher.search`, same answers."""
-        tracer = current_tracer()
-        if tracer is None:
-            return self._search_impl(query, mode, stats, seed_entries,
-                                     trace, deadline)
-        qtrace = trace if trace is not None else QueryTrace()
-        with tracer.span("desks.search", mode=mode.name, k=query.k) as span:
-            result = self._search_impl(query, mode, stats, seed_entries,
-                                       qtrace, deadline)
-            _emit_query_spans(tracer, span, qtrace, result)
-        return result
 
     def search_batch(self, queries: Sequence[DirectionalQuery],
                      mode: PruningMode = PruningMode.RD,
@@ -225,35 +172,26 @@ class ColumnarSearcher:
                                        deadline=deadline))
         return results
 
-    # -- Algorithm 2 over arrays -------------------------------------------------
+    # -- keyword plan ------------------------------------------------------------
 
-    def _search_impl(self, query: DirectionalQuery,
-                     mode: PruningMode,
-                     stats: Optional[SearchStats],
-                     seed_entries: Optional[Iterable[ResultEntry]],
-                     trace: Optional[QueryTrace],
-                     deadline: Optional["SupportsExpired"]) -> QueryResult:
-        collector = _TopK(query.k, seed=seed_entries)
+    def _prepare_subqueries(self, query: DirectionalQuery) -> List[_Subquery]:
         conjunctive = query.match_mode is MatchMode.ALL
         term_ids = self._resolve_terms(query.keywords, conjunctive)
         if term_ids is None:
-            if trace is not None:
-                trace.num_results = len(collector.entries())
-            return QueryResult(collector.entries())
-        if trace is not None:
-            io = self.index.io_stats
-            pages_before = io.logical_reads
-            tick = time.perf_counter()
-        subqueries = self._prepare_subqueries(query, term_ids)
-        if trace is not None:
-            trace.prepare_seconds = time.perf_counter() - tick
-            trace.prepare_pages = io.logical_reads - pages_before
-        completed = self._run(query, subqueries, collector, mode, stats,
-                              trace, deadline)
-        result = QueryResult(collector.entries(), partial=not completed)
-        if trace is not None:
-            trace.num_results = len(result)
-        return result
+            return []
+        term_key = tuple(sorted(term_ids))
+        subqueries: List[_Subquery] = []
+        for quadrant, piece in query.basic_subqueries():
+            columns = self.snapshot.anchor_columns(quadrant)
+            plan = self._plan_for(columns, term_key, conjunctive)
+            if plan is None:
+                continue
+            geometry = basic_geometry(
+                columns.frame, query.location,
+                columns.frame.basic_interval(piece))
+            subqueries.append(_Subquery(quadrant, columns.regions, geometry,
+                                        plan.candidate_gids, plan))
+        return subqueries
 
     def _resolve_terms(self, keywords: FrozenSet[str],
                        conjunctive: bool) -> Optional[FrozenSet[int]]:
@@ -264,24 +202,6 @@ class ColumnarSearcher:
             self._term_cache[key] = self._collection.query_term_ids(
                 keywords, require_all=conjunctive)
         return self._term_cache[key]
-
-    def _prepare_subqueries(self, query: DirectionalQuery,
-                            term_ids: Iterable[int],
-                            ) -> List[_KernelSubquery]:
-        conjunctive = query.match_mode is MatchMode.ALL
-        term_key = tuple(sorted(term_ids))
-        subqueries: List[_KernelSubquery] = []
-        for quadrant, piece in query.basic_subqueries():
-            columns = self.snapshot.anchor_columns(quadrant)
-            plan = self._plan_for(columns, term_key, conjunctive)
-            if plan is None:
-                continue
-            geometry = basic_geometry(
-                columns.frame, query.location,
-                columns.frame.basic_interval(piece))
-            subqueries.append(_KernelSubquery(quadrant, columns, geometry,
-                                              plan))
-        return subqueries
 
     def _plan_for(self, columns: AnchorColumns, term_key: Tuple[int, ...],
                   conjunctive: bool) -> Optional[_TermPlan]:
@@ -312,177 +232,21 @@ class ColumnarSearcher:
             else:
                 gids = np.unique(np.concatenate(gid_runs))
             if gids.size:
-                plan = _TermPlan(gids, term_positions, conjunctive)
+                plan = _TermPlan(columns, gids.tolist(),
+                                 term_positions, conjunctive)
         self._plan_cache[key] = plan
         return plan
 
-    def _run(self, query: DirectionalQuery,
-             subqueries: List[_KernelSubquery], collector: _TopK,
-             mode: PruningMode, stats: Optional[SearchStats],
-             trace: Optional[QueryTrace] = None,
-             deadline: Optional["SupportsExpired"] = None) -> bool:
-        """The shared band queue of Algorithm 2 — scalar, as in core."""
-        heap: List[Tuple[float, int, int, _KernelSubquery]] = []
-        seq = 0
+    # -- FindCandPOIs (vectorised) ---------------------------------------------
 
-        def push_band(sub: _KernelSubquery, band_idx: int) -> None:
-            nonlocal seq
-            bands = sub.columns.regions.bands
-            if band_idx >= len(bands):
-                return
-            heapq.heappush(
-                heap,
-                (self._band_priority(sub, bands[band_idx], mode),
-                 seq, band_idx, sub))
-            seq += 1
-
-        for sub in subqueries:
-            start = self._initial_band(sub, mode)
-            if trace is not None:
-                trace.record_subquery(
-                    sub.quadrant, sub.geometry.alpha, sub.geometry.beta,
-                    start, int(sub.plan.candidate_gids.size))
-            push_band(sub, start)
-
-        while heap:
-            if deadline is not None and deadline.expired():
-                return False
-            priority, _, band_idx, sub = heapq.heappop(heap)
-            if priority is INF:
-                continue
-            if mode.region and priority >= collector.kth_distance:
-                if trace is not None:
-                    trace.record_termination(sub.quadrant, band_idx,
-                                             priority)
-                break
-            if stats is not None:
-                stats.regions_examined += 1
-            band = sub.columns.regions.bands[band_idx]
-            band_trace = (trace.begin_band(sub.quadrant, band_idx, priority)
-                          if trace is not None else None)
-            if band_trace is not None:
-                tick = time.perf_counter()
-            completed = self._scan_band(query, sub, band, collector, mode,
-                                        stats, band_trace, deadline)
-            if band_trace is not None:
-                band_trace.seconds = time.perf_counter() - tick
-            if not completed:
-                return False
-            push_band(sub, band_idx + 1)
-        return True
-
-    def _initial_band(self, sub: _KernelSubquery, mode: PruningMode) -> int:
-        if mode.region and sub.geometry.inside_rect:
-            return sub.columns.regions.band_of_distance(sub.geometry.qd)
-        return 0
-
-    def _band_priority(self, sub: _KernelSubquery, band: Band,
-                       mode: PruningMode) -> float:
-        if mode.region:
-            return band_mindist(sub.geometry, band.inner_radius,
-                                band.outer_radius)
-        return float(band.index)
-
-    # -- FindCandRegions (scalar) + FindCandPOIs (vectorised) --------------------
-
-    def _scan_band(self, query: DirectionalQuery, sub: _KernelSubquery,
-                   band: Band, collector: _TopK, mode: PruningMode,
-                   stats: Optional[SearchStats],
-                   band_trace: Optional[BandTrace] = None,
-                   deadline: Optional["SupportsExpired"] = None) -> bool:
-        candidates = self._candidate_subregions(sub, band, collector, mode,
-                                                stats, band_trace)
-        scanned = 0
-        completed = True
-        band_positions: Optional[Tuple["np.ndarray", "np.ndarray"]] = None
-        for position, (mindist, subregion_gid) in enumerate(candidates):
-            if mode.direction and mindist >= collector.kth_distance:
-                if band_trace is not None:
-                    band_trace.subregions_mindist_pruned += \
-                        len(candidates) - position
-                break
-            if deadline is not None and deadline.expired():
-                completed = False
-                break
-            scanned += 1
-            if band_positions is None:
-                band_positions = sub.plan.band_positions(
-                    band, sub.columns.sub_starts)
-            if band_trace is not None:
-                fetched = band_trace.pois_fetched
-                verified = band_trace.pois_verified
-                tick = time.perf_counter()
-            self._scan_wedge(query, sub, band_positions,
-                             subregion_gid - band.first_gid, collector,
-                             stats, band_trace)
-            if band_trace is not None:
-                band_trace.wedges.append(WedgeTrace(
-                    subregion_gid, mindist,
-                    time.perf_counter() - tick,
-                    band_trace.pois_fetched - fetched,
-                    band_trace.pois_verified - verified,
-                    0))  # arrays are resident: a wedge never reads a page
-        if band_trace is not None:
-            band_trace.subregions_kept = scanned
-        return completed
-
-    def _candidate_subregions(self, sub: _KernelSubquery, band: Band,
-                              collector: _TopK, mode: PruningMode,
-                              stats: Optional[SearchStats],
-                              band_trace: Optional[BandTrace] = None,
-                              ) -> List[Tuple[float, int]]:
-        """FINDCANDREGIONS, verbatim scalar bounds over array gid runs."""
-        regions = sub.columns.regions
-        geo = sub.geometry
-        first_gid = band.first_gid
-        end_gid = first_gid + len(band.subregions)
-        if mode.direction:
-            tau_lo, tau_hi = sub.band_bounds(band)
-            lo_idx, hi_idx = regions.candidate_wedge_range(band, tau_lo,
-                                                           tau_hi)
-            gid_lo, gid_hi = first_gid + lo_idx, first_gid + hi_idx
-            if band_trace is not None:
-                band_trace.tau_bounds = (tau_lo, tau_hi)
-                band_trace.wedge_window = (lo_idx, hi_idx)
-        else:
-            gid_lo, gid_hi = first_gid, end_gid
-        gids = sub.plan.candidate_gids
-        start = int(np.searchsorted(gids, gid_lo))
-        end = int(np.searchsorted(gids, gid_hi))
-        if band_trace is not None and mode.direction:
-            in_band = (int(np.searchsorted(gids, end_gid))
-                       - int(np.searchsorted(gids, first_gid)))
-            band_trace.subregions_window_pruned = in_band - (end - start)
-            band_trace.mindist_evaluations = end - start
-        out: List[Tuple[float, int]] = []
-        pruned = 0
-        for gid in gids[start:end].tolist():
-            if stats is not None:
-                stats.subregions_examined += 1
-            if mode.direction:
-                wedge = regions.subregions[gid]
-                mindist = subregion_mindist(
-                    geo, band.inner_radius, band.outer_radius,
-                    wedge.theta_lo, wedge.theta_hi)
-                if mindist >= collector.kth_distance:
-                    pruned += 1
-                    continue
-            else:
-                mindist = 0.0
-            out.append((mindist, gid))
-        if band_trace is not None:
-            band_trace.subregions_mindist_pruned = pruned
-        out.sort()
-        return out
-
-    def _scan_wedge(self, query: DirectionalQuery, sub: _KernelSubquery,
-                    band_positions: Tuple["np.ndarray", "np.ndarray"],
-                    wedge_index: int, collector: _TopK,
-                    stats: Optional[SearchStats],
-                    band_trace: Optional[BandTrace] = None) -> None:
+    def _scan_subregion(self, query: DirectionalQuery, sub: _Subquery,
+                        band: Band, gid: int, collector: _TopK,
+                        stats: Optional[SearchStats]) -> None:
         """FINDCANDPOIS over one wedge's contiguous array slice."""
-        columns = sub.columns
-        positions, offsets = band_positions
+        plan = sub.source
+        columns = plan.columns
+        positions, offsets = plan.band_positions(band)
+        wedge_index = gid - band.first_gid
         lo = offsets[wedge_index]
         hi = offsets[wedge_index + 1]
         count = int(hi - lo)
@@ -492,8 +256,6 @@ class ColumnarSearcher:
         if stats is not None:
             stats.pois_examined += count
             stats.distance_computations += count
-        if band_trace is not None:
-            band_trace.pois_fetched += count
         location = query.location
         dxs = columns.xs[survivors] - location.x
         dys = columns.ys[survivors] - location.y
@@ -514,8 +276,6 @@ class ColumnarSearcher:
         verified_count = int(np.count_nonzero(verified))
         if stats is not None:
             stats.candidates_verified += verified_count
-        if band_trace is not None:
-            band_trace.pois_verified += verified_count
         if verified_count == 0:
             return
         kth = collector.kth_distance

@@ -24,7 +24,7 @@ import asyncio
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..cluster import ShardRouter
 from ..core import QueryResult
@@ -66,6 +66,8 @@ class ClusterFrontend:
         self._active = 0
         self._started = time.monotonic()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
+        #: Open connections: handler task -> its writer (loop thread only).
+        self._connections: Dict[asyncio.Task, asyncio.StreamWriter] = {}
         self._stop_requested: Optional[asyncio.Event] = None
         self._thread: Optional[threading.Thread] = None
 
@@ -103,6 +105,12 @@ class ClusterFrontend:
             await self._stop_requested.wait()
         finally:
             server.close()
+            # Close the connections still open and let their handlers
+            # return: a handler the loop cancels on exit would have its
+            # CancelledError logged by asyncio's stream callback.
+            for writer in self._connections.values():
+                writer.close()
+            await asyncio.gather(*self._connections, return_exceptions=True)
             await server.wait_closed()
 
     def stop(self) -> None:
@@ -128,6 +136,8 @@ class ClusterFrontend:
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
         self.metrics.counter("net_frontend_connections_total").increment()
+        task = asyncio.current_task()
+        self._connections[task] = writer
         try:
             while True:
                 try:
@@ -149,6 +159,7 @@ class ClusterFrontend:
                 if not await self._send(writer, frame):
                     return
         finally:
+            del self._connections[task]
             writer.close()
             try:
                 await writer.wait_closed()

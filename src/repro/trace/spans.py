@@ -187,15 +187,17 @@ class Tracer:
     # -- span lifecycle ------------------------------------------------------
 
     @contextmanager
-    def span(self, name: str, **attrs: Any) -> Iterator[Span]:
-        """Open a child span of the context's current span.
+    def span(self, name: str, parent: Optional[Span] = None,
+             **attrs: Any) -> Iterator[Span]:
+        """Open a child span of ``parent`` (default: the current span).
 
         The span becomes the context-local current span for the duration
         of the ``with`` block, so nested instrumented calls attach below
         it.
         """
         span = Span(name, attrs)
-        parent = _SPAN.get()
+        if parent is None:
+            parent = _SPAN.get()
         with self._lock:
             (parent.children if parent is not None
              else self.roots).append(span)
@@ -209,15 +211,17 @@ class Tracer:
 
     def record(self, name: str, seconds: float = 0.0,
                parent: Optional[Span] = None, **attrs: Any) -> Span:
-        """Attach an already-finished span (explicit duration).
+        """Attach a span that has just finished, after ``seconds`` of work.
 
-        Used when the instrumented code measured a stage itself (e.g. the
-        per-band timings inside :class:`~repro.core.QueryTrace`) and
-        converts its measurements into spans after the fact.  ``parent``
-        defaults to the context's current span, else a new root.
+        Used when the instrumented code timed a stage itself (e.g. a WAL
+        append or the router's shard plan) right after doing it: the span
+        ends now and starts ``seconds`` earlier, so it lies inside its
+        parent's interval like a span opened with :meth:`span`.
+        ``parent`` defaults to the context's current span, else a new
+        root.
         """
         span = Span(name, attrs)
-        span.ended = span.started + max(0.0, seconds)
+        span.started = span.ended - max(0.0, seconds)
         if parent is None:
             parent = _SPAN.get()
         with self._lock:

@@ -280,7 +280,7 @@ class TestRealTree:
                          if f.code == "DAL011")
         assert waivers == [
             ("src/repro/cluster/replica.py", 260),
-            ("src/repro/net/frontend.py", 90),
+            ("src/repro/net/frontend.py", 92),
             ("src/repro/net/loadgen.py", 158),
             ("src/repro/service/engine.py", 326),
             ("src/repro/service/workload.py", 126),

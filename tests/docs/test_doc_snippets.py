@@ -85,7 +85,7 @@ class TestTutorialWalkthrough:
         for name in ("DesksIndex", "DesksSearcher", "DirectionalQuery",
                      "IncrementalSearcher", "MutableDesksIndex",
                      "PruningMode", "save_index", "load_index",
-                     "QueryTrace", "MatchMode", "Tracer", "explain"):
+                     "MatchMode", "Tracer", "explain"):
             assert name in text, f"tutorial no longer shows {name}"
 
 

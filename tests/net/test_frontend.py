@@ -1,5 +1,6 @@
 """ClusterFrontend: the asyncio front door over an in-process router."""
 
+import logging
 import random
 import threading
 
@@ -182,3 +183,22 @@ def test_frontend_statement_parse_error_has_caret(front_client):
     with pytest.raises(RpcError) as info:
         front_client.execute_statement("EXPLAIN SHOW METRICS")
     assert "^" in str(info.value)
+
+
+def test_frontend_stop_with_a_connected_client_logs_no_error(collection,
+                                                             caplog):
+    """Stopping closes open connections instead of cancelling handlers.
+
+    A handler the event loop cancels on its way out has its
+    ``CancelledError`` logged at ERROR by asyncio's stream callback.
+    """
+    with ShardRouter(collection, num_shards=2, partitioner="grid") as router:
+        frontend = ClusterFrontend(router, num_workers=2).start()
+        query = random_queries(random.Random(36), 1)[0]
+        with RemoteShardClient(frontend.address) as cli:
+            cli.search(query)  # the connection is open and idle
+            with caplog.at_level(logging.ERROR):
+                frontend.stop()
+    errors = [record for record in caplog.records
+              if record.levelno >= logging.ERROR]
+    assert errors == [], [record.getMessage() for record in errors]

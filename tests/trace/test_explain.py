@@ -128,16 +128,23 @@ class TestReportShape:
         assert report.actuals["pages_read"] == 0
 
 
-class TestExplicitQueryTrace:
-    def test_trace_kwarg_still_fills_while_traced(self, disk_index):
-        """The legacy trace= object and the span tree coexist."""
-        from repro.core import QueryTrace
-
-        qtrace = QueryTrace()
+class TestRootTotals:
+    def test_root_totals_are_the_band_sums(self, disk_index):
+        """The root's reconciled totals are rolled up from its bands."""
         tracer = Tracer()
         with tracer.activate():
-            DesksSearcher(disk_index).search(make_query(), trace=qtrace)
+            DesksSearcher(disk_index).search(make_query(width=math.pi))
         root = tracer.find("desks.search")
-        assert qtrace.bands_scanned == root.attrs["bands_scanned"]
-        assert qtrace.total_pages_read == root.attrs["pages_read"]
-        assert qtrace.total_pois_fetched == root.attrs["pois_fetched"]
+        bands = root.find_all("desks.band")
+        scanned = [b for b in bands if b.attrs["action"] == "scanned"]
+        assert root.attrs["bands_scanned"] == len(scanned)
+        assert root.attrs["pages_read"] == \
+            root.find("desks.prepare").attrs["pages_read"] + \
+            sum(b.attrs["pages_read"] for b in scanned)
+        assert root.attrs["pois_fetched"] == \
+            sum(b.attrs["pois_fetched"] for b in scanned)
+        for band in scanned:
+            wedges = band.find_all("desks.wedge")
+            assert band.attrs["subregions_kept"] == len(wedges)
+            for key in ("pois_fetched", "pois_verified", "pages_read"):
+                assert band.attrs[key] >= sum(w.attrs[key] for w in wedges)

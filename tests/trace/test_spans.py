@@ -2,6 +2,7 @@
 
 import json
 import threading
+import time
 
 import pytest
 
@@ -70,6 +71,30 @@ class TestSpanTree:
                 recorded = tracer.record("measured", seconds=0.25, n=1)
         assert tracer.root.children[0] is recorded
         assert recorded.seconds == pytest.approx(0.25)
+
+    def test_record_ends_now_and_starts_seconds_earlier(self):
+        tracer = Tracer()
+        with tracer.activate():
+            with tracer.span("parent") as parent:
+                tick = time.perf_counter()
+                while time.perf_counter() - tick < 0.002:
+                    pass
+                recorded = tracer.record(
+                    "measured", seconds=time.perf_counter() - tick)
+        assert recorded.started >= parent.started
+        assert recorded.ended <= parent.ended
+        assert recorded.seconds >= 0.002
+
+    def test_span_under_an_explicit_parent(self):
+        tracer = Tracer()
+        with tracer.activate():
+            with tracer.span("root"):
+                first = tracer.record("first")
+                with tracer.span("nested", parent=first) as nested:
+                    inner = tracer.record("inner")
+        assert tracer.root.children == [first]
+        assert first.children == [nested]
+        assert nested.children == [inner]
 
     def test_find_and_walk(self):
         tracer = Tracer()
